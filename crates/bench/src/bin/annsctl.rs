@@ -1609,9 +1609,9 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         fn word_bits(&self) -> u64 {
             CellProbeScheme::word_bits(&self.0)
         }
-        fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
+        async fn run_async(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
             let t0 = Instant::now();
-            let answer = self.0.run(query, exec);
+            let answer = self.0.run_async(query, exec).await;
             (answer, t0.elapsed().as_nanos() as u64)
         }
     }

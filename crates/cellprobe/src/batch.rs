@@ -4,7 +4,7 @@
 //! beyond parallelizing the probes *within* a round ([`RoundExecutor`]),
 //! whole queries are independent of each other and batch workloads shard
 //! across threads. This module provides that driver for benches and
-//! experiments: deterministic output order, crossbeam scoped threads, no
+//! experiments: deterministic output order, `std` scoped threads, no
 //! unsafe.
 //!
 //! [`RoundExecutor`]: crate::executor::RoundExecutor
@@ -90,8 +90,8 @@ mod tests {
         fn word_bits(&self) -> u64 {
             64
         }
-        fn run(&self, query: &u64, exec: &mut RoundExecutor<'_>) -> u64 {
-            exec.round(&[Address::with_u64(0, *query)])[0].to_u64()
+        async fn run_async(&self, query: &u64, exec: &mut RoundExecutor<'_>) -> u64 {
+            exec.round_async(&[Address::with_u64(0, *query)]).await[0].to_u64()
         }
     }
 

@@ -4,9 +4,9 @@
 //! functions `L₁ … L_k` — round `i`'s addresses depend only on the query and
 //! on rounds `< i` — plus an output map. [`RoundExecutor`] realizes exactly
 //! this interface: the scheme hands a full round of addresses to
-//! [`RoundExecutor::round`] and only then sees their contents, so adaptivity
-//! *within* a round is impossible by construction and the round count is
-//! simply the number of `round` calls.
+//! [`RoundExecutor::round_async`] and only then sees their contents, so
+//! adaptivity *within* a round is impossible by construction and the round
+//! count is simply the number of rounds awaited.
 //!
 //! Every probe is charged to a [`ProbeLedger`] (the `t = Σ tᵢ` accounting of
 //! the paper), and an optional [`Transcript`] records `(round, address,
@@ -14,9 +14,15 @@
 //! with permuted in-round order to verify schemes really are non-adaptive
 //! within rounds.
 
+use std::cell::Cell;
+use std::future::Future;
+use std::panic::AssertUnwindSafe;
+use std::pin::{pin, Pin};
+use std::task::{Context, Poll, Waker};
+
 use serde::{Deserialize, Serialize};
 
-use crate::table::{Address, Table};
+use crate::table::{Address, Table, TableId};
 use crate::word::Word;
 
 /// Default probe tile: 64 addresses per tile keeps a tile's addresses,
@@ -74,6 +80,14 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
+    /// These options with the word-size cap tightened to a scheme's
+    /// declared word size `declared` — the cap every execution enforces
+    /// on top of whatever the caller asked for.
+    pub fn capped(mut self, declared: u64) -> Self {
+        self.word_bits_limit = Some(self.word_bits_limit.map_or(declared, |l| l.min(declared)));
+        self
+    }
+
     /// Default options plus a full probe transcript — the common audit
     /// configuration (replay tests, engine coalescing audits).
     pub fn with_transcript() -> Self {
@@ -198,26 +212,9 @@ impl Transcript {
     }
 }
 
-/// A batched-address round entry point: everything that can execute one
-/// full round of probes, given *all* of the round's addresses at once.
-///
-/// The default implementor is a [`Table`] (each address is read from the
-/// oracle, possibly on parallel threads — see [`read_batch`]). The serving
-/// engine substitutes a *coalescing* source that parks the round at a
-/// generation barrier, merges it with the same round of every other
-/// in-flight query, executes one sorted batch per shard, and hands the
-/// words back — all without the scheme being able to tell the difference,
-/// which is exactly the paper's point: a round's addresses are fixed
-/// before any content is revealed, so *who* executes the batch is
-/// irrelevant to correctness.
-pub trait RoundSource: Sync {
-    /// Executes one round of probes, returning words in address order.
-    fn read_round(&self, addrs: &[Address]) -> Vec<Word>;
-}
-
 /// Reads a batch of addresses from a table, words in address order, on up
-/// to `threads` crossbeam scoped threads (sequential when `threads <= 1`
-/// or the batch is a single address).
+/// to `threads` scoped threads (sequential when `threads <= 1` or the
+/// batch is a single address).
 ///
 /// Probes within a round are independent by the model's definition, so
 /// this is always safe; it pays off when cell evaluation is expensive
@@ -252,35 +249,7 @@ pub fn read_batch_tiled(
     per_tile.into_iter().flatten().collect()
 }
 
-/// [`read_batch_tiled`] with a [`ProbeBatchRead`] trace event emitted
-/// before the read: the engine's observed dispatch path. `shard` and
-/// `gen` label the event with the caller's shard index and generation
-/// id; the read itself is byte-identical to the untraced variant, and
-/// with a disabled recorder (`enabled() == false`) the only extra cost
-/// is the guard branch.
-///
-/// [`ProbeBatchRead`]: anns_obs::TraceEvent::ProbeBatchRead
-pub fn read_batch_observed(
-    table: &dyn Table,
-    addrs: &[Address],
-    threads: usize,
-    tile: usize,
-    obs: &dyn anns_obs::Recorder,
-    shard: u64,
-    gen: u64,
-) -> Vec<Word> {
-    if obs.enabled() {
-        obs.record(anns_obs::TraceEvent::ProbeBatchRead {
-            gen,
-            shard,
-            tile: tile as u64,
-            len: addrs.len() as u64,
-        });
-    }
-    read_batch_tiled(table, addrs, threads, tile)
-}
-
-/// Maps `f` over `items` on up to `threads` crossbeam scoped threads
+/// Maps `f` over `items` on up to `threads` scoped threads
 /// (contiguous chunks, never an empty-range worker), results in item
 /// order; runs inline when `threads <= 1` or there is at most one item.
 /// The one scatter/gather primitive behind [`read_batch`], the batch
@@ -294,77 +263,140 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.iter().map(&f).collect();
     }
-    let workers = threads.min(items.len());
-    let chunk = items.len().div_ceil(workers).max(1);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk.iter()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
+    let chunk = items.len().div_ceil(threads.min(items.len()));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("parallel worker panicked"))
+            .collect()
     })
-    .expect("parallel worker panicked");
-    out.into_iter()
-        .map(|r| r.expect("item not processed"))
-        .collect()
 }
 
-/// What a [`RoundExecutor`] executes rounds against: a plain table oracle
-/// (with the executor's own parallelism options) or an external
-/// [`RoundSource`].
-enum Backend<'a> {
+/// Where a [`RoundExecutor`]'s rounds are answered.
+#[derive(Clone, Copy)]
+enum Port<'a> {
+    /// Read in place from a table oracle (solo execution). A round
+    /// program polled over this port never suspends.
     Table(&'a dyn Table),
-    Source(&'a dyn RoundSource),
+    /// Parked in a slot for a driver that polls many queries and answers
+    /// their rounds together (the serving engine's generation driver).
+    Parked(&'a RoundSlot),
+}
+
+/// One query's hand-off point to a driver that polls round programs: the
+/// query parks a round's addresses here and suspends; the driver reads
+/// them however it likes (the engine merges every query's round into one
+/// batch per shard) and hands the words back before polling again. The
+/// addresses were fixed first, so the scheme cannot tell who read them.
+#[derive(Default)]
+pub struct RoundSlot {
+    parked: Cell<Option<Vec<Address>>>,
+    words: Cell<Option<Vec<Word>>>,
+}
+
+impl RoundSlot {
+    /// Takes the round parked since the driver last looked, if any.
+    pub fn take_parked(&self) -> Option<Vec<Address>> {
+        self.parked.take()
+    }
+
+    /// Hands the words of the parked round back, in address order.
+    pub fn answer(&self, words: Vec<Word>) {
+        self.words.set(Some(words));
+    }
+}
+
+/// Resolves once the driver has answered the slot's parked round.
+fn answered(slot: &RoundSlot) -> impl Future<Output = Vec<Word>> + '_ {
+    std::future::poll_fn(|_| slot.words.take().map_or(Poll::Pending, Poll::Ready))
+}
+
+/// Unwind payload of a blocking call ([`block_on`]) that met a parked
+/// round it cannot wait for; caught by [`RoundExecutor::replay`].
+struct Suspended;
+
+/// Polls `fut` once with a no-op waker: round programs suspend only on a
+/// parked round, and their driver knows when it has answered it.
+pub fn poll_once<F: Future + ?Sized>(fut: Pin<&mut F>) -> Poll<F::Output> {
+    fut.poll(&mut Context::from_waker(Waker::noop()))
+}
+
+/// Runs a round program to completion on the calling thread: the blocking
+/// form of every `*_async` entry point. Over a table-backed executor the
+/// program never suspends, so one poll completes it.
+///
+/// Over a parked executor, a blocking call cannot wait for its driver; it
+/// unwinds instead, and the enclosing [`RoundExecutor::replay`] re-runs it
+/// once the round is answered. Called anywhere else on a parked executor,
+/// that unwind escapes as a panic.
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    match poll_once(pin!(fut)) {
+        Poll::Ready(out) => out,
+        Poll::Pending => std::panic::resume_unwind(Box::new(Suspended)),
+    }
 }
 
 /// Mediates all table access for one query, enforcing round structure.
 pub struct RoundExecutor<'a> {
-    backend: Backend<'a>,
+    port: Port<'a>,
     opts: ExecOptions,
     ledger: ProbeLedger,
     transcript: Option<Transcript>,
+    /// Added to the table id of every probed address (see
+    /// [`RoundExecutor::set_table_base`]).
+    table_base: TableId,
+    /// Answered rounds of a blocking call being replayed, and how many of
+    /// them the current attempt has consumed.
+    replay: Option<(Vec<Vec<Word>>, usize)>,
 }
 
 impl<'a> RoundExecutor<'a> {
-    /// New executor over a table oracle.
+    /// New executor reading its rounds in place from a table oracle.
     pub fn new(table: &'a dyn Table, opts: ExecOptions) -> Self {
-        Self::build(Backend::Table(table), opts)
+        Self::build(Port::Table(table), opts)
     }
 
-    /// New executor over an external round source. Accounting (ledger,
-    /// transcript, word-size enforcement) is identical to a table-backed
-    /// executor; only the execution of each round's batch is delegated.
-    pub fn with_source(source: &'a dyn RoundSource, opts: ExecOptions) -> Self {
-        Self::build(Backend::Source(source), opts)
+    /// New executor parking its rounds in `slot` for a polling driver.
+    /// Accounting is identical to a table-backed executor's; reading each
+    /// round (and the `parallel*`/`probe_tile` options) is the driver's.
+    pub fn parked(slot: &'a RoundSlot, opts: ExecOptions) -> Self {
+        Self::build(Port::Parked(slot), opts)
     }
 
-    fn build(backend: Backend<'a>, opts: ExecOptions) -> Self {
+    fn build(port: Port<'a>, opts: ExecOptions) -> Self {
         RoundExecutor {
-            backend,
+            port,
             opts,
             ledger: ProbeLedger::default(),
-            transcript: if opts.record_transcript {
-                Some(Transcript::default())
-            } else {
-                None
-            },
+            transcript: opts.record_transcript.then(Transcript::default),
+            table_base: 0,
+            replay: None,
         }
     }
 
-    /// Executes one round of parallel probes and returns the words in
+    /// Executes one round of parallel probes; resolves to the words in
     /// address order. An empty address list performs no probes and does
     /// *not* count as a round.
-    pub fn round(&mut self, addrs: &[Address]) -> Vec<Word> {
+    pub async fn round_async(&mut self, addrs: &[Address]) -> Vec<Word> {
         if addrs.is_empty() {
             return Vec::new();
         }
-        let words = match self.backend {
-            Backend::Table(table) => {
+        let shifted: Vec<Address>;
+        let addrs = if self.table_base == 0 {
+            addrs
+        } else {
+            shifted = addrs
+                .iter()
+                .map(|a| Address::new(self.table_base + a.table, a.key.clone()))
+                .collect();
+            &shifted
+        };
+        let words = match self.port {
+            Port::Table(table) => {
                 let threads = if self.opts.parallel && addrs.len() >= self.opts.parallel_threshold {
                     self.opts.threads
                 } else {
@@ -372,16 +404,19 @@ impl<'a> RoundExecutor<'a> {
                 };
                 read_batch_tiled(table, addrs, threads, self.opts.probe_tile)
             }
-            Backend::Source(source) => {
-                let words = source.read_round(addrs);
-                assert_eq!(
-                    words.len(),
-                    addrs.len(),
-                    "round source must answer every address"
-                );
-                words
-            }
+            Port::Parked(slot) => match self.replayed_round() {
+                Some(words) => words,
+                None => {
+                    slot.parked.set(Some(addrs.to_vec()));
+                    answered(slot).await
+                }
+            },
         };
+        assert_eq!(
+            words.len(),
+            addrs.len(),
+            "a round's driver must answer every address"
+        );
         let base_round = self.ledger.per_round.len();
         if self.opts.serialize_rounds {
             self.ledger
@@ -414,6 +449,70 @@ impl<'a> RoundExecutor<'a> {
             }
         }
         words
+    }
+
+    /// The blocking form of [`RoundExecutor::round_async`] (see
+    /// [`block_on`]).
+    pub fn round(&mut self, addrs: &[Address]) -> Vec<Word> {
+        block_on(self.round_async(addrs))
+    }
+
+    /// The next answered round of the replay in progress, if it has one.
+    fn replayed_round(&mut self) -> Option<Vec<Word>> {
+        let (log, next) = self.replay.as_mut()?;
+        let words = log.get(*next)?.clone();
+        *next += 1;
+        Some(words)
+    }
+
+    /// Sets the offset added to the table id of every address probed from
+    /// now on, returning the previous one. A composite scheme runs an
+    /// inner scheme inside its own table-id block this way (see
+    /// `SubsampledRepetition` in `anns-core`): the inner probes are
+    /// charged to this executor, shifted.
+    pub fn set_table_base(&mut self, base: TableId) -> TableId {
+        std::mem::replace(&mut self.table_base, base)
+    }
+
+    /// Runs a *blocking* round program `run` (one that reads through
+    /// [`RoundExecutor::round`] or [`block_on`] rather than awaiting) as a
+    /// future. Over a table-backed executor it simply runs. Over a parked
+    /// one, each attempt runs until it meets a round not yet answered,
+    /// which unwinds back here; the round stays parked for the driver,
+    /// and once answered the program is run again from the start, its
+    /// earlier rounds served from the answers so far. Round programs are
+    /// deterministic, so every attempt re-issues the same rounds, and the
+    /// final attempt's accounting is exactly a solo execution's.
+    ///
+    /// This is the bridge for schemes that implement only a blocking
+    /// entry point; it costs one re-run of the program per round, and
+    /// `run` must tolerate being unwound at a round (hold no lock across
+    /// one).
+    pub async fn replay<R>(&mut self, mut run: impl FnMut(&mut Self) -> R) -> R {
+        let slot = match self.port {
+            Port::Parked(slot) if self.replay.is_none() => slot,
+            // Solo, or nested inside a replay that already serves rounds.
+            _ => return run(self),
+        };
+        let entry = (
+            self.ledger.clone(),
+            self.transcript.clone(),
+            self.table_base,
+        );
+        let mut log = Vec::new();
+        loop {
+            self.replay = Some((log, 0));
+            let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| run(&mut *self)));
+            log = self.replay.take().expect("replay in progress").0;
+            match attempt {
+                Ok(out) => return out,
+                Err(payload) if payload.is::<Suspended>() => {
+                    log.push(answered(slot).await);
+                    (self.ledger, self.transcript, self.table_base) = entry.clone();
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
     }
 
     /// Accounting so far.
@@ -615,40 +714,89 @@ mod tests {
         assert!(read_batch_tiled(&t, &[], 4, 64).is_empty());
     }
 
-    #[test]
-    fn source_backed_executor_accounts_identically() {
-        struct Mod7Source(MaterializedTable);
-        impl RoundSource for Mod7Source {
-            fn read_round(&self, addrs: &[Address]) -> Vec<Word> {
-                read_batch(&self.0, addrs, 1)
+    /// A two-round program: cell `q`, then the cell its word names.
+    async fn chase(exec: &mut RoundExecutor<'_>, q: u64) -> u64 {
+        let first = exec.round_async(&[Address::with_u64(0, q)]).await;
+        let next = first[0].to_u64() + 10;
+        exec.round_async(&[Address::with_u64(0, next), Address::with_u64(0, 1)])
+            .await[0]
+            .to_u64()
+    }
+
+    /// Drives one parked round program by hand, reading each parked round
+    /// from `table`; returns the answer and the number of suspensions.
+    fn drive<T>(
+        table: &dyn Table,
+        slot: &RoundSlot,
+        fut: Pin<&mut dyn Future<Output = T>>,
+    ) -> (T, usize) {
+        let mut fut = fut;
+        let mut suspensions = 0;
+        loop {
+            match poll_once(fut.as_mut()) {
+                Poll::Ready(out) => return (out, suspensions),
+                Poll::Pending => {
+                    suspensions += 1;
+                    let addrs = slot
+                        .take_parked()
+                        .expect("a suspended program parks a round");
+                    slot.answer(read_batch(table, &addrs, 1));
+                }
             }
         }
-        let source = Mod7Source(table_mod7());
-        let addrs: Vec<Address> = (0..9).map(|i| Address::with_u64(0, i)).collect();
-        let mut direct = RoundExecutor::new(&source.0, ExecOptions::with_transcript());
-        let expect = direct.round(&addrs);
-        let _ = direct.round(&[Address::with_u64(0, 11)]);
-        let mut sourced = RoundExecutor::with_source(&source, ExecOptions::with_transcript());
-        let got = sourced.round(&addrs);
-        let _ = sourced.round(&[Address::with_u64(0, 11)]);
-        assert_eq!(got, expect);
-        let (l1, t1) = direct.finish();
-        let (l2, t2) = sourced.finish();
-        assert_eq!(l1, l2);
-        assert_eq!(t1, t2);
     }
 
     #[test]
-    #[should_panic(expected = "must answer every address")]
-    fn short_source_answers_are_rejected() {
-        struct Mute;
-        impl RoundSource for Mute {
-            fn read_round(&self, _addrs: &[Address]) -> Vec<Word> {
-                Vec::new()
-            }
-        }
-        let mute = Mute;
-        let mut exec = RoundExecutor::with_source(&mute, ExecOptions::default());
-        let _ = exec.round(&[Address::with_u64(0, 0)]);
+    fn parked_executor_accounts_identically() {
+        let t = table_mod7();
+        let mut direct = RoundExecutor::new(&t, ExecOptions::with_transcript());
+        let expect = block_on(chase(&mut direct, 9));
+        let slot = RoundSlot::default();
+        let mut parked = RoundExecutor::parked(&slot, ExecOptions::with_transcript());
+        let (got, suspensions) = drive(&t, &slot, pin!(chase(&mut parked, 9)));
+        assert_eq!((got, suspensions), (expect, 2));
+        assert_eq!(direct.finish(), parked.finish());
+    }
+
+    #[test]
+    fn replay_runs_blocking_programs_over_a_parked_executor() {
+        let t = table_mod7();
+        let blocking = |exec: &mut RoundExecutor<'_>| {
+            let first = exec.round(&[Address::with_u64(0, 9)]);
+            let next = first[0].to_u64() + 10;
+            exec.round(&[Address::with_u64(0, next), Address::with_u64(0, 1)])[0].to_u64()
+        };
+        let mut direct = RoundExecutor::new(&t, ExecOptions::with_transcript());
+        let expect = blocking(&mut direct);
+        let slot = RoundSlot::default();
+        let mut parked = RoundExecutor::parked(&slot, ExecOptions::with_transcript());
+        let (got, suspensions) = drive(&t, &slot, pin!(parked.replay(blocking)));
+        assert_eq!((got, suspensions), (expect, 2));
+        assert_eq!(direct.finish(), parked.finish());
+    }
+
+    #[test]
+    #[should_panic(expected = "a round's driver must answer every address")]
+    fn short_answers_are_rejected() {
+        let slot = RoundSlot::default();
+        let mut exec = RoundExecutor::parked(&slot, ExecOptions::default());
+        let addrs = [Address::with_u64(0, 0)];
+        let mut fut = pin!(exec.round_async(&addrs));
+        assert!(poll_once(fut.as_mut()).is_pending());
+        assert!(slot.take_parked().is_some());
+        slot.answer(Vec::new());
+        let _ = poll_once(fut.as_mut());
+    }
+
+    #[test]
+    fn table_base_shifts_every_probe() {
+        let t = MaterializedTable::new(SpaceModel::from_exact_cells(4, 64));
+        t.write(Address::with_u64(5, 0), Word::from_u64(99));
+        let mut exec = RoundExecutor::new(&t, ExecOptions::with_transcript());
+        assert_eq!(exec.set_table_base(5), 0);
+        assert_eq!(exec.round(&[Address::with_u64(0, 0)])[0].to_u64(), 99);
+        assert_eq!(exec.set_table_base(0), 5);
+        let (_, transcript) = exec.finish();
+        assert_eq!(transcript.unwrap().0[0].addr, Address::with_u64(5, 0));
     }
 }

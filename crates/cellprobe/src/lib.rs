@@ -12,22 +12,24 @@
 //! * [`Table`] — the data-structure side: an oracle mapping addresses to
 //!   words. Implementations may be materialized ([`MaterializedTable`]) or
 //!   lazy (computed on demand — see substitution S1 in `DESIGN.md`);
-//! * [`RoundExecutor`] — the *only* way a scheme reads cells. One call to
-//!   [`RoundExecutor::round`] is one round of parallel probes; the API shape
-//!   itself enforces the round discipline (all addresses of a round are
-//!   produced before any of its contents are visible), and every probe is
-//!   charged to a [`ProbeLedger`];
+//! * [`RoundExecutor`] — the *only* way a scheme reads cells. One await of
+//!   [`RoundExecutor::round_async`] is one round of parallel probes; the API
+//!   shape itself enforces the round discipline (all addresses of a round
+//!   are produced before any of its contents are visible), and every probe
+//!   is charged to a [`ProbeLedger`]. Schemes are therefore *round
+//!   programs*: solo execution reads each round in place, and a driver can
+//!   instead poll many programs at once and answer their rounds together
+//!   through a [`RoundSlot`] (the serving engine does);
 //! * [`CellProbeScheme`] — the trait shared by Algorithms 1/2, λ-ANNS, LSH
 //!   and the adaptive baseline, so complexity accounting is uniform;
 //! * [`space`] — table-size accounting, including the public-coin →
 //!   private-coin translation of Lemma 5 / Proposition 6 (Newman's theorem);
-//! * [`batch`] — a crossbeam-based parallel driver for query batches.
+//! * [`batch`] — a parallel driver for query batches.
 //!
 //! Probes inside one round are *independent by definition of the model*;
-//! [`RoundExecutor`] optionally executes them on parallel threads
-//! (crossbeam scoped threads), which is precisely the parallelism the paper
-//! says limited adaptivity exposes ("the ability to be implemented in
-//! parallel", §1).
+//! [`RoundExecutor`] optionally executes them on parallel (`std` scoped)
+//! threads, which is precisely the parallelism the paper says limited
+//! adaptivity exposes ("the ability to be implemented in parallel", §1).
 //!
 //! # Example
 //!
@@ -48,9 +50,9 @@
 //!     type Answer = u64;
 //!     fn table(&self) -> &dyn Table { &self.table }
 //!     fn word_bits(&self) -> u64 { 64 }
-//!     fn run(&self, query: &u64, exec: &mut RoundExecutor<'_>) -> u64 {
-//!         let first = exec.round(&[Address::with_u64(0, *query)]);
-//!         let second = exec.round(&[Address::with_u64(0, first[0].to_u64())]);
+//!     async fn run_async(&self, query: &u64, exec: &mut RoundExecutor<'_>) -> u64 {
+//!         let first = exec.round_async(&[Address::with_u64(0, *query)]).await;
+//!         let second = exec.round_async(&[Address::with_u64(0, first[0].to_u64())]).await;
 //!         second[0].to_u64()
 //!     }
 //! }
@@ -74,10 +76,10 @@ pub mod word;
 pub use audit::{CountingTable, PurityAuditTable};
 pub use batch::{run_batch, run_one, worst_case_ledger, BatchItem};
 pub use executor::{
-    chunked_parallel_map, read_batch, read_batch_observed, read_batch_tiled, ExecOptions,
-    ProbeLedger, RoundExecutor, RoundSource, Transcript, TranscriptEntry, DEFAULT_PROBE_TILE,
+    block_on, chunked_parallel_map, poll_once, read_batch, read_batch_tiled, ExecOptions,
+    ProbeLedger, RoundExecutor, RoundSlot, Transcript, TranscriptEntry, DEFAULT_PROBE_TILE,
 };
-pub use scheme::{execute, execute_on, execute_with, CellProbeScheme};
+pub use scheme::{execute, execute_with, CellProbeScheme};
 pub use space::{newman_private_coin_cells_log2, SpaceModel};
 pub use table::{Address, MaterializedTable, Table, TableId};
 pub use word::Word;

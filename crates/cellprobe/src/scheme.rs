@@ -5,8 +5,16 @@
 //! table oracle and its query logic; [`execute`] wires them through a
 //! [`RoundExecutor`] so Algorithms 1/2, λ-ANNS, LSH and the baselines are
 //! all measured by the same ledger.
+//!
+//! The query logic is a *round program*: an async function that awaits
+//! one [`RoundExecutor::round_async`] per round. Solo execution reads each
+//! round in place, so the program runs straight through; the serving
+//! engine polls many programs on one thread and answers their rounds
+//! together. Both run the same code, so both account identically.
 
-use crate::executor::{ExecOptions, ProbeLedger, RoundExecutor, RoundSource, Transcript};
+use std::future::Future;
+
+use crate::executor::{block_on, ExecOptions, ProbeLedger, RoundExecutor, Transcript};
 use crate::table::Table;
 
 /// A static data structure plus its query algorithm.
@@ -22,8 +30,19 @@ pub trait CellProbeScheme {
     /// Declared word size `w` in bits; enforced by the executor.
     fn word_bits(&self) -> u64;
 
-    /// The query algorithm. All table access must go through `exec`.
-    fn run(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> Self::Answer;
+    /// The query algorithm as a round program. All table access must go
+    /// through `exec`.
+    fn run_async(
+        &self,
+        query: &Self::Query,
+        exec: &mut RoundExecutor<'_>,
+    ) -> impl Future<Output = Self::Answer>;
+
+    /// The blocking form of [`CellProbeScheme::run_async`] (see
+    /// [`block_on`]).
+    fn run(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> Self::Answer {
+        block_on(self.run_async(query, exec))
+    }
 }
 
 /// Runs one query with default options, returning answer + accounting.
@@ -39,41 +58,10 @@ pub fn execute_with<S: CellProbeScheme>(
     query: &S::Query,
     opts: ExecOptions,
 ) -> (S::Answer, ProbeLedger, Option<Transcript>) {
-    let mut exec = RoundExecutor::new(scheme.table(), clamp_word_limit(scheme, opts));
+    let mut exec = RoundExecutor::new(scheme.table(), opts.capped(scheme.word_bits()));
     let answer = scheme.run(query, &mut exec);
     let (ledger, transcript) = exec.finish();
     (answer, ledger, transcript)
-}
-
-/// Runs one query with its rounds executed by an external [`RoundSource`]
-/// instead of the scheme's own table — the entry point the serving engine
-/// uses to coalesce one round of *many* queries into a single batched
-/// dispatch. Accounting (ledger, transcript, declared word-size
-/// enforcement) is identical to [`execute_with`]; the source is trusted to
-/// answer each address with the same word the scheme's table would
-/// (sources that disagree are caught by the word-size check and by the
-/// engine's equivalence audits).
-pub fn execute_on<S: CellProbeScheme>(
-    scheme: &S,
-    query: &S::Query,
-    source: &dyn RoundSource,
-    opts: ExecOptions,
-) -> (S::Answer, ProbeLedger, Option<Transcript>) {
-    let mut exec = RoundExecutor::with_source(source, clamp_word_limit(scheme, opts));
-    let answer = scheme.run(query, &mut exec);
-    let (ledger, transcript) = exec.finish();
-    (answer, ledger, transcript)
-}
-
-/// The declared word size is always enforced on top of whatever the
-/// options say.
-fn clamp_word_limit<S: CellProbeScheme>(scheme: &S, mut opts: ExecOptions) -> ExecOptions {
-    let declared = scheme.word_bits();
-    opts.word_bits_limit = Some(match opts.word_bits_limit {
-        Some(limit) => limit.min(declared),
-        None => declared,
-    });
-    opts
 }
 
 #[cfg(test)]
@@ -111,10 +99,10 @@ mod tests {
             64
         }
 
-        fn run(&self, query: &u64, exec: &mut RoundExecutor<'_>) -> u64 {
-            let first = exec.round(&[Address::with_u64(0, *query)]);
+        async fn run_async(&self, query: &u64, exec: &mut RoundExecutor<'_>) -> u64 {
+            let first = exec.round_async(&[Address::with_u64(0, *query)]).await;
             let mid = first[0].to_u64() % 64;
-            let second = exec.round(&[Address::with_u64(0, mid)]);
+            let second = exec.round_async(&[Address::with_u64(0, mid)]).await;
             second[0].to_u64()
         }
     }
@@ -139,24 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_on_matches_execute_with() {
-        struct Passthrough<'a>(&'a dyn Table);
-        impl crate::executor::RoundSource for Passthrough<'_> {
-            fn read_round(&self, addrs: &[Address]) -> Vec<Word> {
-                crate::executor::read_batch(self.0, addrs, 1)
-            }
-        }
-        let scheme = Toy::new();
-        let opts = ExecOptions::with_transcript();
-        let (a1, l1, t1) = execute_with(&scheme, &5, opts);
-        let source = Passthrough(scheme.table());
-        let (a2, l2, t2) = execute_on(&scheme, &5, &source, opts);
-        assert_eq!(a1, a2);
-        assert_eq!(l1, l2);
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
     fn declared_word_size_is_enforced_automatically() {
         // A scheme that lies about its word size panics on execution.
         struct Liar {
@@ -171,8 +141,8 @@ mod tests {
             fn word_bits(&self) -> u64 {
                 8
             }
-            fn run(&self, _q: &(), exec: &mut RoundExecutor<'_>) {
-                let _ = exec.round(&[Address::with_u64(0, 0)]);
+            async fn run_async(&self, _q: &(), exec: &mut RoundExecutor<'_>) {
+                let _ = exec.round_async(&[Address::with_u64(0, 0)]).await;
             }
         }
         let table = MaterializedTable::new(SpaceModel::from_exact_cells(1, 8));

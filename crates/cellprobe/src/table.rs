@@ -32,7 +32,10 @@ pub type TableId = u32;
 /// Cell keys are byte strings because the paper's addresses are bit strings
 /// of scheme-chosen width (`j ∈ {0,1}^{c₁ log n}` for `T_i`; concatenations
 /// `⟨l, u, w₀, w₁ … w_s⟩` for `T̃_{i,j}`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Addresses order by table, then key: the order the serving engine sorts
+/// each shard's coalesced batch in.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Address {
     /// Which logical table.
     pub table: TableId,
@@ -186,6 +189,18 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert!(a.bits() >= 64 + 32 - 32); // 8-byte key + id bits
+    }
+
+    #[test]
+    fn addr_order_is_table_then_key() {
+        use std::cmp::Ordering;
+        let a = Address::with_u64(0, 5);
+        let b = Address::with_u64(1, 0);
+        assert_eq!(a.cmp(&b), Ordering::Less);
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+        let c = Address::new(0, vec![0, 1]);
+        let d = Address::new(0, vec![0, 2]);
+        assert_eq!(c.cmp(&d), Ordering::Less);
     }
 
     #[test]

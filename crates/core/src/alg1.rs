@@ -17,7 +17,7 @@
 //! (`x ∈ B?`, `x ∈ N1(B)?`) ride along in the first round, exactly as in
 //! the paper.
 
-use anns_cellprobe::{Address, CellProbeScheme, RoundExecutor, Table};
+use anns_cellprobe::{block_on, Address, CellProbeScheme, RoundExecutor, Table};
 
 use crate::instance::AnnsInstance;
 use crate::outcome::{decode_t_cell, OutcomeKind, QueryOutcome};
@@ -46,12 +46,25 @@ pub fn choose_tau_alg1(top: u32, k: u32) -> u32 {
     }
 }
 
-/// Runs Algorithm 1 for `k` rounds against any instance backend.
+/// Runs Algorithm 1 for `k` rounds against any instance backend: the
+/// blocking form of [`alg1_async`].
+pub fn alg1<I: AnnsInstance>(
+    instance: &I,
+    query: &I::Query,
+    k: u32,
+    tau_override: Option<u32>,
+    exec: &mut RoundExecutor<'_>,
+) -> QueryOutcome {
+    block_on(alg1_async(instance, query, k, tau_override, exec))
+}
+
+/// Algorithm 1 as a round program: `k` rounds against any instance
+/// backend.
 ///
 /// `tau_override` forces a grid width (used by the fully-adaptive baseline,
 /// `τ = 2`, and by the A2 τ-sensitivity ablation); `None` uses
 /// [`choose_tau_alg1`].
-pub fn alg1<I: AnnsInstance>(
+pub async fn alg1_async<I: AnnsInstance>(
     instance: &I,
     query: &I::Query,
     k: u32,
@@ -92,7 +105,7 @@ pub fn alg1<I: AnnsInstance>(
             0
         };
         addrs.extend(scales.iter().map(|&i| instance.t_address(query, i)));
-        let words = exec.round(&addrs);
+        let words = exec.round_async(&addrs).await;
         if degen_probes == 2 {
             // Degenerate hits take precedence: they are exact / distance-1
             // answers and short-circuit the main search.
@@ -172,8 +185,8 @@ impl<I: AnnsInstance> CellProbeScheme for Alg1Scheme<'_, I> {
         self.instance.word_bits()
     }
 
-    fn run(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> QueryOutcome {
-        alg1(self.instance, query, self.k, self.tau_override, exec)
+    async fn run_async(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> QueryOutcome {
+        alg1_async(self.instance, query, self.k, self.tau_override, exec).await
     }
 }
 

@@ -75,8 +75,8 @@ pub fn choose_tau_alg2(top: u32, k: u32, c: f64) -> u32 {
     }
 }
 
-/// Runs Algorithm 2 against any instance backend.
-pub fn alg2<I: AnnsInstance>(
+/// Algorithm 2 as a round program against any instance backend.
+pub async fn alg2_async<I: AnnsInstance>(
     instance: &I,
     query: &I::Query,
     cfg: &Alg2Config,
@@ -115,7 +115,7 @@ pub fn alg2<I: AnnsInstance>(
                 0
             };
             addrs.extend(scales.iter().map(|&i| instance.t_address(query, i)));
-            let words = exec.round(&addrs);
+            let words = exec.round_async(&addrs).await;
             if degen_probes == 2 {
                 if let Some((index, _)) = decode_t_cell(&words[0]) {
                     return QueryOutcome {
@@ -173,7 +173,7 @@ pub fn alg2<I: AnnsInstance>(
         };
         addrs.push(instance.t_address(query, u)); // T_u[M_u x], per the paper
         addrs.extend(groups.iter().map(|g| instance.aux_address(query, g)));
-        let words = exec.round(&addrs);
+        let words = exec.round_async(&addrs).await;
         if degen_probes == 2 {
             if let Some((index, _)) = decode_t_cell(&words[0]) {
                 return QueryOutcome {
@@ -204,7 +204,9 @@ pub fn alg2<I: AnnsInstance>(
         } else {
             // ---- Shrinking phase, second round ----
             let probe_scale = rho(r_star - 1) - 1;
-            let word = exec.round(&[instance.t_address(query, probe_scale)]);
+            let word = exec
+                .round_async(&[instance.t_address(query, probe_scale)])
+                .await;
             if decode_t_cell(&word[0]).is_none() {
                 // CASE 2: C_{ρ(r*−1)−1} = ∅ — raise l (and trim u if r* < τ).
                 l = probe_scale;
@@ -252,8 +254,8 @@ impl<I: AnnsInstance> CellProbeScheme for Alg2Scheme<'_, I> {
         self.instance.word_bits()
     }
 
-    fn run(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> QueryOutcome {
-        alg2(self.instance, query, &self.config, exec)
+    async fn run_async(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> QueryOutcome {
+        alg2_async(self.instance, query, &self.config, exec).await
     }
 }
 

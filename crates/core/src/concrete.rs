@@ -172,6 +172,23 @@ fn decode_aux_key(bytes: &[u8], m_bits: u32, n_bits: u32) -> AuxKey {
     }
 }
 
+/// The `DEGEN_N1` cell of `x`: the database index of `x` itself, else of
+/// the first `x ⊕ e_i` (ascending `i`) in the database. Flips one scratch
+/// copy in place, so a miss costs `d` lookups and no allocations.
+fn n1_member(exact: &HashMap<Point, usize>, mut x: Point) -> Option<usize> {
+    if let Some(&idx) = exact.get(&x) {
+        return Some(idx);
+    }
+    for i in 0..x.dim() {
+        x.flip(i);
+        if let Some(&idx) = exact.get(&x) {
+            return Some(idx);
+        }
+        x.flip(i);
+    }
+    None
+}
+
 impl Table for ConcreteTables {
     fn read(&self, addr: &Address) -> Word {
         let inner = &*self.inner;
@@ -184,16 +201,8 @@ impl Table for ConcreteTables {
                 }
             }
             table_ids::DEGEN_N1 => {
-                let x = decode_point_key(&addr.key);
-                if let Some(&idx) = inner.exact.get(&x) {
-                    return encode_t_cell(Some((idx as u64, inner.dataset.point(idx))));
-                }
-                for i in 0..x.dim() {
-                    if let Some(&idx) = inner.exact.get(&x.flipped(i)) {
-                        return encode_t_cell(Some((idx as u64, inner.dataset.point(idx))));
-                    }
-                }
-                encode_t_cell(None)
+                let hit = n1_member(&inner.exact, decode_point_key(&addr.key));
+                encode_t_cell(hit.map(|idx| (idx as u64, inner.dataset.point(idx))))
             }
             t if t >= table_ids::AUX_BASE => {
                 let u = t - table_ids::AUX_BASE;
@@ -505,6 +514,47 @@ mod tests {
     use anns_hamming::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn n1_member_matches_the_allocating_scan() {
+        // The former lookup: exact hit, else the first flipped copy (in
+        // ascending coordinate order) present in the database.
+        fn allocating(exact: &HashMap<Point, usize>, x: &Point) -> Option<usize> {
+            exact
+                .get(x)
+                .copied()
+                .or_else(|| (0..x.dim()).find_map(|i| exact.get(&x.flipped(i)).copied()))
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut points: Vec<Point> = (0..6).map(|_| Point::random(70, &mut rng)).collect();
+        points.push(points[2].clone()); // a duplicate database point
+        let mut exact = HashMap::new();
+        for (idx, p) in points.iter().enumerate() {
+            // First occurrence wins, as in the index build.
+            exact.entry(p.clone()).or_insert(idx);
+        }
+        let mut probes = Vec::new();
+        for p in &points {
+            probes.push(p.clone()); // exact hit
+            for i in [0, 33, 69] {
+                probes.push(p.flipped(i)); // distance 1
+                probes.push(p.flipped(i).flipped((i + 1) % 70)); // distance 2: miss
+            }
+        }
+        // A probe at distance 1 from two database points resolves to the
+        // lower flipped coordinate.
+        let mut twin = points[0].clone();
+        twin.flip(5);
+        twin.flip(6);
+        exact.entry(twin.clone()).or_insert(points.len());
+        probes.push(points[0].flipped(5));
+        for x in &probes {
+            assert_eq!(n1_member(&exact, x.clone()), allocating(&exact, x), "{x:?}");
+        }
+        assert!(probes
+            .iter()
+            .any(|x| n1_member(&exact, x.clone()).is_none()));
+    }
 
     const GAMMA: f64 = 2.0;
 

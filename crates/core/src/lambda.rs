@@ -51,14 +51,15 @@ pub enum LambdaAnswer {
     No,
 }
 
-/// Runs the 1-probe λ-ANNS scheme: reads `T_i[M_i x]` at `i = ⌈log_α λ⌉`.
-pub fn lambda_ann<I: AnnsInstance>(
+/// The 1-probe λ-ANNS scheme as a round program: reads `T_i[M_i x]` at
+/// `i = ⌈log_α λ⌉`.
+pub async fn lambda_ann_async<I: AnnsInstance>(
     instance: &I,
     query: &I::Query,
     scale: u32,
     exec: &mut RoundExecutor<'_>,
 ) -> LambdaAnswer {
-    let words = exec.round(&[instance.t_address(query, scale)]);
+    let words = exec.round_async(&[instance.t_address(query, scale)]).await;
     match decode_t_cell(&words[0]) {
         Some((index, point)) => LambdaAnswer::Neighbor { index, point },
         None => LambdaAnswer::No,
@@ -85,8 +86,8 @@ impl<I: AnnsInstance> CellProbeScheme for LambdaScheme<'_, I> {
         self.instance.word_bits()
     }
 
-    fn run(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> LambdaAnswer {
-        lambda_ann(self.instance, query, self.scale, exec)
+    async fn run_async(&self, query: &Self::Query, exec: &mut RoundExecutor<'_>) -> LambdaAnswer {
+        lambda_ann_async(self.instance, query, self.scale, exec).await
     }
 }
 

@@ -37,11 +37,12 @@
 //! sizes are enforced.
 //!
 //! Where the paper's names live in code: **Algorithm 1** is
-//! [`alg1::alg1`] (served as [`serve::ServeAlg1`], persisted as
-//! `store::SchemeSpec::Alg1`); **Algorithm 2** is [`alg2::alg2`] under an
-//! [`alg2::Alg2Config`] (served as [`serve::ServeAlg2`]); the **λ-ANNS**
-//! 1-probe scheme of Theorem 11 is [`lambda::lambda_ann`] (served as
-//! [`serve::ServeLambda`]).
+//! [`alg1::alg1_async`] (served as [`serve::ServeAlg1`], persisted as
+//! `store::SchemeSpec::Alg1`); **Algorithm 2** is [`alg2::alg2_async`]
+//! under an [`alg2::Alg2Config`] (served as [`serve::ServeAlg2`]); the
+//! **λ-ANNS** 1-probe scheme of Theorem 11 is [`lambda::lambda_ann_async`]
+//! (served as [`serve::ServeLambda`]). Each is a round program (one await
+//! per round); [`alg1::alg1`] is Algorithm 1's blocking form.
 //!
 //! # Example
 //!
@@ -78,15 +79,16 @@ pub mod store;
 pub mod subsample;
 pub mod synthetic;
 
-pub use alg1::{alg1, choose_tau_alg1, Alg1Scheme};
-pub use alg2::{alg2, alg2_s, choose_tau_alg2, Alg2Config, Alg2Scheme};
+pub use alg1::{alg1, alg1_async, choose_tau_alg1, Alg1Scheme};
+pub use alg2::{alg2_async, alg2_s, choose_tau_alg2, Alg2Config, Alg2Scheme};
 pub use boosted::{BoostedIndex, BoostedLedger};
 pub use concrete::{AnnIndex, BuildOptions, ErasureModel, IndexSnapshot};
 pub use instance::{AnnsInstance, AuxGroupSpec};
-pub use lambda::{lambda_ann, lambda_scale, LambdaScheme};
+pub use lambda::{lambda_ann_async, lambda_scale, LambdaScheme};
 pub use outcome::{OutcomeKind, QueryOutcome};
 pub use serve::{
-    Candidate, ServableScheme, ServeAlg1, ServeAlg2, ServeLambda, ServedAnswer, SoloServable,
+    Candidate, ServableScheme, ServeAlg1, ServeAlg2, ServeFuture, ServeLambda, ServedAnswer,
+    SoloServable,
 };
 pub use store::{SchemeSpec, StoredScheme};
 pub use subsample::{Aggregation, SubsampledRepetition, REPLICA_STRIDE};

@@ -7,7 +7,10 @@
 //! variety: it holds *instances* behind one trait-object surface, routes
 //! `Point` queries at them, and accounts every probe through the same
 //! [`RoundExecutor`]. [`ServableScheme`] is that surface, and
-//! [`ServedAnswer`] the unified answer.
+//! [`ServedAnswer`] the unified answer. Its query entry point,
+//! [`ServableScheme::serve_async`], returns the scheme's round program as
+//! a boxed future, so an engine can poll a whole generation of queries on
+//! one thread and answer each round of all of them together.
 //!
 //! The trait also declares the scheme's *budgets* — the round count `k`
 //! and worst-case probe total the paper's theorems promise — so an engine
@@ -17,16 +20,18 @@
 //!
 //! [`RoundExecutor`]: anns_cellprobe::RoundExecutor
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
-use anns_cellprobe::{CellProbeScheme, ProbeLedger, RoundExecutor, Table};
+use anns_cellprobe::{block_on, CellProbeScheme, ProbeLedger, RoundExecutor, Table};
 use anns_hamming::Point;
 
-use crate::alg1::{alg1, choose_tau_alg1};
-use crate::alg2::{alg2, Alg2Config};
+use crate::alg1::{alg1_async, choose_tau_alg1};
+use crate::alg2::{alg2_async, Alg2Config};
 use crate::concrete::AnnIndex;
 use crate::instance::AnnsInstance;
-use crate::lambda::{lambda_ann, lambda_scale, LambdaAnswer};
+use crate::lambda::{lambda_ann_async, lambda_scale, LambdaAnswer};
 use crate::outcome::QueryOutcome;
 
 /// A candidate neighbor returned by a baseline scheme.
@@ -60,6 +65,9 @@ impl ServedAnswer {
         }
     }
 }
+
+/// A served query's round program, boxed at the trait-object boundary.
+pub type ServeFuture<'a> = Pin<Box<dyn Future<Output = ServedAnswer> + 'a>>;
 
 /// An index instance servable behind a trait object: table oracle, declared
 /// word size, declared budgets, and the query algorithm itself.
@@ -117,8 +125,27 @@ pub trait ServableScheme: Send + Sync {
                 .is_none_or(|t| ledger.total_probes() as u64 <= t)
     }
 
-    /// The query algorithm. All table access must go through `exec`.
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer;
+    /// The query algorithm as a round program. All table access must go
+    /// through `exec`.
+    ///
+    /// Implement this *or* [`ServableScheme::serve`]; each defaults to the
+    /// other. A scheme that implements only the blocking `serve` is still
+    /// served coalesced, through [`RoundExecutor::replay`], at the cost of
+    /// one re-run of its program per round. Wrappers must forward this
+    /// method, not just `serve`, to keep their inner scheme off that path.
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        Box::pin(exec.replay(move |exec| self.serve(query, exec)))
+    }
+
+    /// The blocking form of [`ServableScheme::serve_async`] (see
+    /// [`block_on`]).
+    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+        block_on(self.serve_async(query, exec))
+    }
 
     /// The scheme's persistent form for the binary store
     /// ([`crate::store`]), or `None` if it cannot be persisted (ad-hoc
@@ -147,8 +174,8 @@ impl CellProbeScheme for SoloServable<'_> {
         self.0.word_bits()
     }
 
-    fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        self.0.serve(query, exec)
+    async fn run_async(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+        self.0.serve_async(query, exec).await
     }
 }
 
@@ -158,7 +185,7 @@ pub struct ServeAlg1 {
     pub index: Arc<AnnIndex>,
     /// Round budget `k ≥ 1`.
     pub k: u32,
-    /// Optional grid-width override (see [`alg1`]).
+    /// Optional grid-width override (see [`alg1_async`]).
     pub tau_override: Option<u32>,
 }
 
@@ -195,8 +222,16 @@ impl ServableScheme for ServeAlg1 {
         Some(u64::from(self.k) * u64::from(tau - 1) + 2)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        ServedAnswer::Outcome(alg1(&*self.index, query, self.k, self.tau_override, exec))
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        Box::pin(async move {
+            ServedAnswer::Outcome(
+                alg1_async(&*self.index, query, self.k, self.tau_override, exec).await,
+            )
+        })
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {
@@ -239,8 +274,14 @@ impl ServableScheme for ServeAlg2 {
         Some(self.config.k)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        ServedAnswer::Outcome(alg2(&*self.index, query, &self.config, exec))
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        Box::pin(async move {
+            ServedAnswer::Outcome(alg2_async(&*self.index, query, &self.config, exec).await)
+        })
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {
@@ -284,13 +325,19 @@ impl ServableScheme for ServeLambda {
         Some(1)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
         let scale = lambda_scale(
             self.lambda,
             self.index.family().alpha(),
             self.index.family().top(),
         );
-        ServedAnswer::Lambda(lambda_ann(&*self.index, query, scale, exec))
+        Box::pin(async move {
+            ServedAnswer::Lambda(lambda_ann_async(&*self.index, query, scale, exec).await)
+        })
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {

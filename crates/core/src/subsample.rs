@@ -15,12 +15,13 @@
 //! amplified to roughly `p^K` by the aggregation.
 //!
 //! [`SubsampledRepetition`] implements exactly that over any inner
-//! [`ServableScheme`]s. Every inner probe is re-routed into the
-//! *outer* [`RoundExecutor`] (replica `i`'s table ids are offset by
-//! `i × REPLICA_STRIDE`), so the whole ensemble's probe cost lands in
-//! one ledger and the wrapper composes with the engine's cross-query
-//! coalescing unchanged. The subsample is derandomized per query —
-//! a keyed hash of the query bits picks the `K` replicas — which keeps
+//! [`ServableScheme`]s. Every inner round program runs on the *outer*
+//! [`RoundExecutor`] with replica `i`'s table ids offset by
+//! `i × REPLICA_STRIDE` (see [`RoundExecutor::set_table_base`]), so the
+//! whole ensemble's probe cost lands in one ledger and the wrapper
+//! composes with the engine's cross-query coalescing unchanged. The
+//! subsample is derandomized per query — a keyed hash of the query bits
+//! picks the `K` replicas — which keeps
 //! answers byte-stable under repetition (the determinism baseline the
 //! attack harness and the store replay tests rely on) while still
 //! decorrelating *distinct* queries, which is what defeats the
@@ -31,15 +32,13 @@
 //! the bundle codec in `anns-engine`), so a defended shard mounts,
 //! hot-swaps, and warm-starts like any other.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use anns_cellprobe::{
-    Address, ExecOptions, RoundExecutor, RoundSource, SpaceModel, Table, TableId,
-};
+use anns_cellprobe::{Address, RoundExecutor, SpaceModel, Table, TableId};
 use anns_hamming::Point;
 
 use crate::lambda::LambdaAnswer;
-use crate::serve::{ServableScheme, ServedAnswer};
+use crate::serve::{ServableScheme, ServeFuture, ServedAnswer};
 
 /// Table-id block reserved per replica: replica `i`'s inner table `t`
 /// appears on the shared oracle as `i × REPLICA_STRIDE + t`.
@@ -287,23 +286,27 @@ impl ServableScheme for SubsampledRepetition {
         Some(u64::from(self.sample) * worst.into_iter().max().unwrap_or(0))
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        let picks = self.subsample_for(query);
-        let mut answers = Vec::with_capacity(picks.len());
-        for &replica in &picks {
-            // Each inner runs on its own executor whose rounds are
-            // re-issued (table ids offset into the replica's block)
-            // against the *outer* executor: the outer ledger sees
-            // every probe and the engine's coalescing seam still
-            // carries them all.
-            let source = OffsetSource {
-                outer: Mutex::new(&mut *exec),
-                base: replica as TableId * REPLICA_STRIDE,
-            };
-            let mut sub = RoundExecutor::with_source(&source, ExecOptions::default());
-            answers.push((replica, self.inners[replica].serve(query, &mut sub)));
-        }
-        self.aggregate(query, &answers)
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        Box::pin(async move {
+            let picks = self.subsample_for(query);
+            let mut answers = Vec::with_capacity(picks.len());
+            for &replica in &picks {
+                // Each inner runs on the outer executor with its table
+                // ids offset into the replica's block: the outer ledger
+                // sees every probe and the engine's coalescing still
+                // carries them all.
+                let outer = exec.set_table_base(0);
+                exec.set_table_base(outer + replica as TableId * REPLICA_STRIDE);
+                let answer = self.inners[replica].serve_async(query, exec).await;
+                exec.set_table_base(outer);
+                answers.push((replica, answer));
+            }
+            self.aggregate(query, &answers)
+        })
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {
@@ -344,27 +347,6 @@ impl Table for ReplicaRouter {
         self.inners.iter().fold(SpaceModel::zero(), |acc, inner| {
             acc.combine(inner.table().space_model())
         })
-    }
-}
-
-/// Re-issues a sub-executor's rounds against the outer executor with
-/// the replica's table-id offset applied. `Mutex` only to satisfy the
-/// `Sync` bound on [`RoundSource`]; rounds arrive one at a time.
-struct OffsetSource<'e, 'o> {
-    outer: Mutex<&'e mut RoundExecutor<'o>>,
-    base: TableId,
-}
-
-impl RoundSource for OffsetSource<'_, '_> {
-    fn read_round(&self, addrs: &[Address]) -> Vec<anns_cellprobe::Word> {
-        let shifted: Vec<Address> = addrs
-            .iter()
-            .map(|a| Address::new(self.base + a.table, a.key.clone()))
-            .collect();
-        self.outer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .round(&shifted)
     }
 }
 
@@ -419,13 +401,19 @@ mod tests {
         fn probe_budget(&self) -> Option<u64> {
             Some(1)
         }
-        fn serve(&self, _query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-            let words = exec.round(&[Address::with_u64(0, 0)]);
-            let id = words[0].to_u64();
-            ServedAnswer::Candidate(Some(Candidate {
-                index: id,
-                distance: id as u32,
-            }))
+        fn serve_async<'a>(
+            &'a self,
+            _query: &'a Point,
+            exec: &'a mut RoundExecutor<'_>,
+        ) -> ServeFuture<'a> {
+            Box::pin(async move {
+                let words = exec.round_async(&[Address::with_u64(0, 0)]).await;
+                let id = words[0].to_u64();
+                ServedAnswer::Candidate(Some(Candidate {
+                    index: id,
+                    distance: id as u32,
+                }))
+            })
         }
     }
 

@@ -4,22 +4,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use anns_cellprobe::{execute_on, ExecOptions, ProbeLedger, Transcript};
-use anns_core::serve::{ServedAnswer, SoloServable};
+use anns_cellprobe::{ExecOptions, ProbeLedger, RoundExecutor, RoundSlot, Transcript};
+use anns_core::serve::ServedAnswer;
 use anns_hamming::Point;
 use anns_obs::{NullRecorder, Recorder, TraceEvent};
 
 use crate::mount::MountTable;
 use crate::registry::{Registry, ShardId};
-use crate::scheduler::{DispatchTrace, Generation};
+use crate::scheduler::{DispatchTrace, GenQuery, Generation};
 use crate::stats::EngineStats;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
-    /// Maximum queries admitted into one generation (the coalescing and
-    /// parallelism width; also the number of worker threads per
-    /// generation, one per in-flight query).
+    /// Maximum queries admitted into one generation: the coalescing
+    /// width. A generation's queries are polled on the calling thread.
     pub generation: usize,
     /// Per-query executor options (transcripts, serialization, word caps).
     /// The `parallel*` fields are inert on the engine path — parallelism
@@ -133,8 +132,10 @@ pub struct Served {
     /// Full probe transcript when `exec.record_transcript` is set.
     pub transcript: Option<Transcript>,
     /// Wall-clock latency of this query inside its generation, in
-    /// nanoseconds (includes time parked at round barriers — that is the
-    /// latency a caller actually observes under coalesced serving).
+    /// nanoseconds: from the generation's start until this query's round
+    /// program completes. It includes the time its rounds wait for the
+    /// rest of the generation — the latency a caller observes under
+    /// coalesced serving.
     pub latency_ns: u64,
     /// Whether the query stayed within the shard scheme's declared round
     /// and probe budgets (`true` when no budget is declared).
@@ -271,8 +272,8 @@ impl Engine {
         // Shard ids are epoch-relative, so the *whole call* pins the
         // epoch current at admission: validating ids against one epoch
         // and then serving chunks from a newer one would misroute (or
-        // panic mid-generation, stranding peers at the round barrier) if
-        // a swap landed between chunks. Name-addressed requests
+        // panic mid-generation, failing its peers with it) if a swap
+        // landed between chunks. Name-addressed requests
         // ([`Engine::submit_named`]) re-pin per generation instead —
         // names stay valid across the flip, ids do not.
         let epoch = self.mounts.current();
@@ -315,7 +316,7 @@ impl Engine {
                     // `ready()` forces any deferred (mmap-backed) load
                     // before the query enters a generation, so damaged
                     // backing bytes surface as a typed per-query error
-                    // here instead of a panic at the round barrier.
+                    // here instead of a panic that fails the generation.
                     Some(shard) => match epoch.scheme(shard).ready() {
                         Ok(()) => {
                             slots.push(chunk_start + offset);
@@ -381,8 +382,9 @@ impl Engine {
         )
     }
 
-    /// Runs one generation against a pinned epoch: a scoped thread per
-    /// query, all advanced round by round through the generation barrier.
+    /// Runs one generation against a pinned epoch: every query's round
+    /// program is polled on the calling thread, and each round of all of
+    /// them is read together (see [`Generation::drive`]).
     fn run_generation(
         &self,
         epoch: &Arc<Registry>,
@@ -400,64 +402,53 @@ impl Engine {
         let obs = self.obs.as_ref();
         let gen_id = self.gen_seq.fetch_add(1, Ordering::Relaxed);
         let gen_started_ns = if obs.enabled() { obs.now_ns() } else { 0 };
-        let generation = Generation::new(
+        let generation = Generation {
             tables,
-            requests.len(),
-            self.opts.batch_threads,
-            self.opts.exec.probe_tile,
-            epoch.epoch(),
+            batch_threads: self.opts.batch_threads,
+            probe_tile: self.opts.exec.probe_tile,
+            mount_epoch: epoch.epoch(),
             gen_id,
             obs,
-        );
-        let mut slots: Vec<Option<Served>> = (0..requests.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            for ((slot, request), out) in requests.iter().enumerate().zip(slots.iter_mut()) {
-                let generation = &generation;
-                assert!(
-                    request.shard.0 < epoch.len(),
-                    "unknown shard {:?} in epoch {} (registry holds {})",
-                    request.shard,
-                    epoch.epoch(),
-                    epoch.len()
-                );
+        };
+        let started = Instant::now();
+        let slots: Vec<RoundSlot> = requests.iter().map(|_| RoundSlot::default()).collect();
+        let mut queries: Vec<GenQuery<'_, Served>> = requests
+            .iter()
+            .zip(&slots)
+            .map(|(request, slot)| {
                 let scheme = epoch.scheme(request.shard);
-                let exec = self.opts.exec;
-                let mount_epoch = epoch.epoch();
-                scope.spawn(move |_| {
-                    let started = Instant::now();
-                    let source = generation.source(slot, request.shard.0);
-                    let solo = SoloServable(scheme);
-                    // Departs on drop — also mid-unwind if the scheme
-                    // panics, so one failing query can't strand its peers
-                    // at the round barrier.
-                    let departing = generation.depart_guard();
-                    let (answer, ledger, transcript) =
-                        execute_on(&solo, &request.query, &source, exec);
-                    drop(departing);
-                    let within_budget = scheme.within_budget(&ledger);
-                    *out = Some(Served {
+                let opts = self.opts.exec.capped(scheme.word_bits());
+                let future = async move {
+                    let mut exec = RoundExecutor::parked(slot, opts);
+                    let answer = scheme.serve_async(&request.query, &mut exec).await;
+                    let (ledger, transcript) = exec.finish();
+                    Served {
+                        within_budget: scheme.within_budget(&ledger),
                         answer,
                         ledger,
                         transcript,
                         latency_ns: started.elapsed().as_nanos() as u64,
-                        within_budget,
-                        epoch: mount_epoch,
-                    });
-                });
-            }
-        })
-        .expect("generation worker panicked");
-        let served: Vec<Served> = slots
+                        epoch: epoch.epoch(),
+                    }
+                };
+                GenQuery {
+                    shard: request.shard.0,
+                    slot,
+                    future: Some(Box::pin(future)),
+                }
+            })
+            .collect();
+        let mut served: Vec<Option<Served>> = requests.iter().map(|_| None).collect();
+        let dispatches = generation.drive(&mut queries, |slot, query| served[slot] = Some(query));
+        let served: Vec<Served> = served
             .into_iter()
-            .map(|s| s.expect("query not served"))
+            .map(|s| s.expect("query served"))
             .collect();
         if obs.enabled() {
-            // Emit completions here — sequentially, in slot order, after
-            // the barrier — rather than from the worker threads, whose
-            // finish order is scheduler-dependent. This is what makes a
-            // VirtualClock trace byte-stable across runs. `wait_ns` is
-            // the generation's wall time on the recorder's clock (per-
-            // query latency_ns stays on `Instant`, as before).
+            // Completions are emitted here, in slot order, after the
+            // generation, so a VirtualClock trace is byte-stable across
+            // runs. `wait_ns` is the generation's wall time on the
+            // recorder's clock (per-query latency_ns stays on `Instant`).
             let wait_ns = obs.now_ns().saturating_sub(gen_started_ns);
             for (slot, query) in served.iter().enumerate() {
                 obs.record(TraceEvent::QueryServed {
@@ -472,7 +463,7 @@ impl Engine {
         }
         let trace = GenerationTrace {
             epoch: epoch.epoch(),
-            dispatches: generation.into_traces(),
+            dispatches,
         };
         self.totals
             .lock()

@@ -20,7 +20,7 @@
 use std::sync::{Arc, OnceLock};
 
 use anns_cellprobe::{ProbeLedger, RoundExecutor, Table};
-use anns_core::serve::{ServableScheme, ServedAnswer};
+use anns_core::serve::{ServableScheme, ServeFuture};
 use anns_core::AnnIndex;
 use anns_hamming::Point;
 use anns_store::pool::{decode_pool_table, PoolEntry, POOL_ENTRY_BYTES, POOL_TABLE_PREFIX_BYTES};
@@ -227,8 +227,12 @@ impl ServableScheme for LazyServable {
         self.forced().within_budget(ledger)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        self.forced().serve(query, exec)
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        self.forced().serve_async(query, exec)
     }
 
     fn stored(&self) -> Option<anns_core::StoredScheme> {

@@ -34,11 +34,12 @@
 //!   them, new admissions see the new bundle, and the old mount retires
 //!   (observably, via [`mount::SwapReceipt`]) when its last generation
 //!   drains;
-//! * [`scheduler`] — the **generation barrier**: queries admitted
-//!   together advance one round at a time; the last query to park a round
-//!   leads the coalesced dispatch (sort + dedup + one
-//!   `anns_cellprobe::read_batch` per shard) and every dispatch is
-//!   recorded in an auditable [`scheduler::DispatchTrace`];
+//! * [`scheduler`] — the **generation driver**: queries admitted
+//!   together advance one round at a time. Each query is a round program
+//!   (a future) polled on the calling thread; once every live query has
+//!   parked its round, the driver runs the coalesced dispatch (sort +
+//!   dedup + one `anns_cellprobe::read_batch` per shard) and records it
+//!   in an auditable [`scheduler::DispatchTrace`];
 //! * [`engine`] — the **front-end**: [`engine::Engine::submit`] /
 //!   [`engine::Engine::submit_batch`] admit queries in generations, and
 //!   per-query results carry the answer, the probe [`ProbeLedger`]
@@ -69,8 +70,8 @@
 //!
 //! Within-round non-adaptivity is preserved *by construction*: every
 //! query still reads cells only through its own `RoundExecutor`, which
-//! hands whole rounds to the generation barrier via the `RoundSource`
-//! seam, and the engine's equivalence audits (see
+//! parks whole rounds in an `anns_cellprobe::RoundSlot` for the driver
+//! to answer, and the engine's equivalence audits (see
 //! `tests/engine_equivalence.rs`) check answers, ledgers and transcripts
 //! against sequential `execute_with` runs — the round count per query is
 //! identical, which is the paper's `k` showing up unchanged under

@@ -162,9 +162,9 @@ proptest! {
             .map(|q| NamedRequest { shard: "live/alg1-k3".into(), query: q.clone() })
             .collect();
 
-        let (served, receipt_b) = crossbeam::thread::scope(|scope| {
+        let (served, receipt_b) = std::thread::scope(|scope| {
             let engine = &engine;
-            let serve = scope.spawn(move |_| {
+            let serve = scope.spawn(move || {
                 // Two waves with the swap racing in between.
                 let mut all = engine.submit_named(&requests[..swap_after.min(requests.len())]);
                 all.extend(engine.submit_named(&requests[swap_after.min(requests.len())..]));
@@ -172,11 +172,10 @@ proptest! {
             });
             let swap = scope.spawn({
                 let mounts = Arc::clone(&mounts);
-                move |_| mounts.swap_from("live", bytes_b(), "<b>").unwrap()
+                move || mounts.swap_from("live", bytes_b(), "<b>").unwrap()
             });
             (serve.join().unwrap(), swap.join().unwrap())
-        })
-        .unwrap();
+        });
 
         let epoch_b = receipt_b.epoch;
         prop_assert!(epoch_b > epoch_a);

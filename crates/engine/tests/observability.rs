@@ -99,16 +99,147 @@ fn null_recorder_serving_is_byte_identical_to_default() {
         ts.iter()
             .flat_map(|t| t.dispatches.iter())
             .map(|d| {
-                // Participants are appended in park order, which is
-                // thread-scheduling noise; the *set* is deterministic.
-                let mut participants = d.participants.clone();
-                participants.sort_unstable();
-                (d.submitted, d.executed, d.shards, participants)
+                // The poll driver lists participants in slot order.
+                assert!(
+                    d.participants.windows(2).all(|w| w[0].0 < w[1].0),
+                    "participants out of slot order: {:?}",
+                    d.participants
+                );
+                (d.submitted, d.executed, d.shards, d.participants.clone())
             })
             .collect::<Vec<_>>()
     };
     assert_eq!(flat(&traces_a), flat(&traces_b));
     assert_eq!(nulled.recorder().counters().events, 0);
+}
+
+#[test]
+fn mixed_scheme_generation_is_deterministic_and_solo_identical() {
+    use anns_cellprobe::execute_with;
+    use anns_core::serve::{ServableScheme, ServeAlg1, ServeLambda, SoloServable};
+    use anns_core::{Aggregation, Alg2Config, SubsampledRepetition};
+
+    let index = shared_index();
+    let mut registry = Registry::new();
+    let alg1 = registry.register_alg1("alg1-k3", Arc::clone(&index), 3);
+    let alg2 = registry.register_alg2("alg2-k8", Arc::clone(&index), Alg2Config::with_k(8));
+    let lambda = registry.register_lambda("lambda-8", Arc::clone(&index), 8.0);
+    let inners: Vec<Arc<dyn ServableScheme>> = vec![
+        Arc::new(ServeAlg1 {
+            index: Arc::clone(&index),
+            k: 2,
+            tau_override: None,
+        }),
+        Arc::new(ServeLambda {
+            index: Arc::clone(&index),
+            lambda: 8.0,
+        }),
+        Arc::new(ServeAlg1 {
+            index: Arc::clone(&index),
+            k: 3,
+            tau_override: None,
+        }),
+    ];
+    let defended = registry.register(
+        "defended",
+        Box::new(SubsampledRepetition::new(inners, 2, 5, Aggregation::BestOf).unwrap()),
+    );
+    let exec = ExecOptions::with_transcript();
+    let engine = Engine::new(
+        registry,
+        EngineOptions {
+            generation: 64,
+            exec,
+            batch_threads: 2,
+        },
+    );
+    // Database points (exact hits end alg1 after one round) and perturbed
+    // points, spread over every shard in one generation.
+    let mut points: Vec<anns_hamming::Point> = (0..4)
+        .map(|i| index.dataset().point(i * 7).clone())
+        .collect();
+    points.extend(hot_set_workload(&index, 8, 8, 9, 41));
+    let shards = [alg1, alg2, lambda, defended];
+    let reqs: Vec<QueryRequest> = points
+        .iter()
+        .enumerate()
+        .flat_map(|(i, q)| {
+            (0..shards.len()).map(move |j| QueryRequest {
+                shard: shards[(i + j) % shards.len()],
+                query: q.clone(),
+            })
+        })
+        .collect();
+    assert!(reqs.len() <= 64, "one generation");
+
+    let (served, traces) = engine.submit_batch_traced(&reqs);
+    let (again, traces_again) = engine.submit_batch_traced(&reqs);
+    assert_eq!(traces.len(), 1);
+    assert_eq!(traces[0].dispatches, traces_again[0].dispatches);
+    let registry = engine.registry();
+    let mut rounds = std::collections::BTreeSet::new();
+    for ((request, s), t) in reqs.iter().zip(&served).zip(&again) {
+        let (answer, ledger, transcript) = execute_with(
+            &SoloServable(registry.scheme(request.shard)),
+            &request.query,
+            exec,
+        );
+        assert_eq!(s.answer, answer);
+        assert_eq!(s.ledger, ledger);
+        assert_eq!(s.transcript, transcript);
+        assert_eq!((&t.answer, &t.ledger), (&answer, &ledger));
+        rounds.insert(ledger.rounds());
+    }
+    assert!(
+        [1, 2, 3].iter().all(|r| rounds.contains(r)),
+        "queries must finish after 1, 2 and 3 rounds: saw {rounds:?}"
+    );
+}
+
+#[test]
+fn blocking_only_wrappers_coalesce_like_the_schemes_they_wrap() {
+    use anns_cellprobe::{RoundExecutor, Table};
+    use anns_core::serve::{ServableScheme, ServedAnswer};
+
+    /// A pass-through wrapper implementing only the blocking `serve`, as
+    /// out-of-tree instrumentation might: the engine reaches the inner
+    /// scheme through `RoundExecutor::replay`.
+    struct Blocking(Registry);
+    impl ServableScheme for Blocking {
+        fn label(&self) -> String {
+            self.0.scheme(anns_engine::ShardId(0)).label()
+        }
+        fn table(&self) -> &dyn Table {
+            self.0.scheme(anns_engine::ShardId(0)).table()
+        }
+        fn word_bits(&self) -> u64 {
+            self.0.scheme(anns_engine::ShardId(0)).word_bits()
+        }
+        fn serve(&self, query: &anns_hamming::Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+            self.0.scheme(anns_engine::ShardId(0)).serve(query, exec)
+        }
+    }
+
+    let reqs = requests(17, 24);
+    let exec = ExecOptions::with_transcript();
+    let opts = EngineOptions {
+        generation: 8,
+        exec,
+        batch_threads: 1,
+    };
+    let mut wrapped = Registry::new();
+    wrapped.register("alg1-k3", Box::new(Blocking(registry())));
+    let (direct, direct_traces) = Engine::new(registry(), opts).submit_batch_traced(&reqs);
+    let (bridged, bridged_traces) = Engine::new(wrapped, opts).submit_batch_traced(&reqs);
+    for (x, y) in direct.iter().zip(&bridged) {
+        assert_eq!(x.answer, y.answer);
+        assert_eq!(x.ledger, y.ledger);
+        assert_eq!(x.transcript, y.transcript);
+    }
+    let dispatches = |ts: &[anns_engine::GenerationTrace]| {
+        ts.iter().map(|t| t.dispatches.clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(dispatches(&direct_traces), dispatches(&bridged_traces));
 }
 
 /// Runs one traced batch over a fresh engine + ring on a virtual clock,

@@ -136,7 +136,7 @@ impl CellProbeScheme for TrieLpm {
         72
     }
 
-    fn run(&self, query: &LpmString, exec: &mut RoundExecutor<'_>) -> (usize, usize) {
+    async fn run_async(&self, query: &LpmString, exec: &mut RoundExecutor<'_>) -> (usize, usize) {
         assert_eq!(query.len(), self.instance.m);
         let m = self.instance.m as u32;
         let tau = self.tau();
@@ -163,7 +163,7 @@ impl CellProbeScheme for TrieLpm {
                 .iter()
                 .map(|&ell| Address::new(ell, prefix_key(&query[..ell as usize])))
                 .collect();
-            let words = exec.round(&addrs);
+            let words = exec.round_async(&addrs).await;
             if completing {
                 // Largest matching length in (l, u).
                 for (pos, word) in words.iter().enumerate().rev() {

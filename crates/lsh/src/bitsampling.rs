@@ -347,10 +347,10 @@ impl CellProbeScheme for LshIndex {
         self.space_model().word_bits
     }
 
-    fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
+    async fn run_async(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
         // One non-adaptive round: all bucket addresses from the query alone.
         let addrs = self.bucket_addresses(query);
-        let words = exec.round(&addrs);
+        let words = exec.round_async(&addrs).await;
         // Decode every bucket in word order, then fold the whole round's
         // candidate list through the batched kernel in that same order.
         let candidates: Vec<(u64, Point)> = words.iter().flat_map(decode_bucket).collect();

@@ -84,11 +84,11 @@ impl CellProbeScheme for LinearScan {
         self.space_model().word_bits
     }
 
-    fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ExactNeighbor {
+    async fn run_async(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ExactNeighbor {
         let addrs: Vec<Address> = (0..self.dataset.len())
             .map(|i| Address::with_u64(0, i as u64))
             .collect();
-        let words = exec.round(&addrs);
+        let words = exec.round_async(&addrs).await;
         // Decode all cells, then take the strict minimum over one batched
         // kernel pass (every decoded distance is < u32::MAX, so the fold
         // resolves ties exactly like the former per-cell scalar loop).

@@ -138,7 +138,7 @@ impl CellProbeScheme for MultiRadiusLsh {
         self.space_model().word_bits
     }
 
-    fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
+    async fn run_async(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
         // Climb the ladder smallest-radius first; each round covers
         // `rungs_per_round` levels. Stop at the first level that yields a
         // candidate within γ·r (the ladder geometry then certifies a
@@ -155,7 +155,7 @@ impl CellProbeScheme for MultiRadiusLsh {
                     addrs.push(a);
                 }
             }
-            let words = exec.round(&addrs);
+            let words = exec.round_async(&addrs).await;
             // Decode the group's buckets in word order and fold them through
             // the batched kernel, carrying the running best across groups —
             // same strict-min tie-break as the scalar per-candidate loop.

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use anns_cellprobe::{CellProbeScheme, RoundExecutor, Table};
-use anns_core::serve::{Candidate, ServableScheme, ServedAnswer};
+use anns_core::serve::{Candidate, ServableScheme, ServeFuture, ServedAnswer};
 use anns_hamming::Point;
 
 use crate::bitsampling::LshIndex;
@@ -53,15 +53,19 @@ impl ServableScheme for ServeLsh {
         Some(u64::from(self.index.params().l_tables))
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        ServedAnswer::Candidate(
-            self.index
-                .run(query, exec)
-                .map(|(index, distance)| Candidate {
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        Box::pin(async move {
+            ServedAnswer::Candidate(self.index.run_async(query, exec).await.map(
+                |(index, distance)| Candidate {
                     index: index as u64,
                     distance,
-                }),
-        )
+                },
+            ))
+        })
     }
 
     fn stored(&self) -> Option<anns_core::StoredScheme> {
@@ -101,12 +105,18 @@ impl ServableScheme for ServeLinear {
         Some(self.scan.dataset().len() as u64)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        let best = self.scan.run(query, exec);
-        ServedAnswer::Candidate(Some(Candidate {
-            index: best.index as u64,
-            distance: best.distance,
-        }))
+    fn serve_async<'a>(
+        &'a self,
+        query: &'a Point,
+        exec: &'a mut RoundExecutor<'_>,
+    ) -> ServeFuture<'a> {
+        Box::pin(async move {
+            let best = self.scan.run_async(query, exec).await;
+            ServedAnswer::Candidate(Some(Candidate {
+                index: best.index as u64,
+                distance: best.distance,
+            }))
+        })
     }
 
     fn stored(&self) -> Option<anns_core::StoredScheme> {

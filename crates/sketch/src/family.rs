@@ -291,7 +291,7 @@ pub struct DbSketches {
 
 impl DbSketches {
     /// Sketches every database point under every matrix, parallelizing
-    /// across scales with crossbeam scoped threads.
+    /// across scales with scoped threads.
     pub fn build(family: &SketchFamily, dataset: &Dataset, threads: usize) -> Self {
         assert_eq!(dataset.dim(), family.dim(), "dataset/family dimension");
         let scales = family.top() as usize + 1;
@@ -326,11 +326,11 @@ impl DbSketches {
             .collect();
         let workers = threads.min(jobs.len()).max(1);
         let chunk = jobs.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut jobs = jobs;
             while !jobs.is_empty() {
                 let batch: Vec<_> = jobs.drain(..chunk.min(jobs.len())).collect();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (scale, is_m, slot) in batch {
                         *slot = Some(if is_m {
                             build_scale_m(scale)
@@ -340,8 +340,7 @@ impl DbSketches {
                     }
                 });
             }
-        })
-        .expect("sketch worker panicked");
+        });
         DbSketches {
             m: m.into_iter().map(|v| v.expect("scale not built")).collect(),
             n: n.into_iter().map(|v| v.expect("scale not built")).collect(),
